@@ -34,30 +34,40 @@
 #                        push (full grid: felbench -bench all)
 #   8. async smoke     — the buffered-async determinism gate: the α=0
 #                        full-buffer property test (async ≡ sync bit for
-#                        bit at several parallelism levels) runs under
-#                        -race, then felbench -exp async-vs-sync drives
-#                        every aggregation mode end to end and exits 1 if
-#                        any gate fails (bit-identity, strictly fewer
-#                        logical ticks, equal-or-better accuracy)
+#                        bit at several parallelism levels) and the
+#                        fel_async_round_ticks gauge test (one value,
+#                        set after the fan-in, equal at MaxParallel 1
+#                        and 4) run under -race, then felbench -exp
+#                        async-vs-sync drives every aggregation mode end
+#                        to end and exits 1 if any gate fails
+#                        (bit-identity, strictly fewer logical ticks,
+#                        equal-or-better accuracy)
 #   9. fuzz smoke      — every fuzz target runs randomized inputs on a 10s
 #                        total budget (FuzzDecodeFrame over the wire codec
 #                        and FuzzArrivalLogFrame over the arrival-log
 #                        frames, both seeded from faultnet's corruption
 #                        mutators)
-#  10. chaos smoke     — felnode -chaos runs a named fault-injection
-#                        scenario twice against a full loopback federation
-#                        and diffs the fault event logs and timing-masked
-#                        metrics snapshots byte for byte
-#  11. felnode smoke   — a real networked loopback job over 127.0.0.1 TCP
+#  10. chaos smoke     — felnode -chaos runs each of two named
+#                        fault-injection scenarios (corrupt-frames and
+#                        straggler-storm-async, whose groups run in a
+#                        concurrent fan-out) twice and diffs the fault
+#                        event logs and timing-masked metrics snapshots
+#                        byte for byte
+#  11. chaos stress    — the straggler-storm-async chaos subtest runs ten
+#                        times under -race, so a metric that depends on
+#                        goroutine scheduling fails the gate with high
+#                        probability even when it flips only one run in
+#                        three
+#  12. felnode smoke   — a real networked loopback job over 127.0.0.1 TCP
 #                        (2 edges × 12 clients × 2 rounds), which also
 #                        cross-checks accuracy against the in-process
 #                        trainer and transport bytes against the codec's
 #                        accounting
-#  12. metrics smoke   — the same loopback job with -metrics: polls the
+#  13. metrics smoke   — the same loopback job with -metrics: polls the
 #                        live HTTP endpoint until the snapshot exposes
 #                        fel_wire_bytes_total and checks every line parses
 #                        as Prometheus text exposition
-#  13. load smoke      — the felserve serving layer under -race: hundreds of
+#  14. load smoke      — the felserve serving layer under -race: hundreds of
 #                        loopback subscribers fan in on a multi-job cloud
 #                        (TestServeLoadSmoke), every subscriber must land on
 #                        the correct final aggregate and the goroutine count
@@ -119,8 +129,8 @@ fi
 rm -rf "$perfdir"
 trap - EXIT
 
-echo "== async smoke (alpha=0 equivalence under -race, async-vs-sync gates via felbench)"
-go test -race -count=1 -run 'TestAsyncAlphaZeroFullBufferEquivalence' ./internal/core
+echo "== async smoke (alpha=0 equivalence and round-ticks gauge under -race, async-vs-sync gates via felbench)"
+go test -race -count=1 -run 'TestAsyncAlphaZeroFullBufferEquivalence|TestAsyncRoundTicksGaugeDeterministic' ./internal/core
 asyncdir="$(mktemp -d)"
 trap 'rm -rf "$asyncdir"' EXIT
 go run ./cmd/felbench -exp async-vs-sync -scale small -out "$asyncdir"
@@ -139,15 +149,20 @@ echo "== felnode -chaos smoke (deterministic replay)"
 chaosdir="$(mktemp -d)"
 trap 'rm -rf "$chaosdir"' EXIT
 go build -o "$chaosdir/felnode" ./cmd/felnode
-"$chaosdir/felnode" -chaos corrupt-frames > "$chaosdir/run1.txt"
-"$chaosdir/felnode" -chaos corrupt-frames > "$chaosdir/run2.txt"
-if ! diff -u "$chaosdir/run1.txt" "$chaosdir/run2.txt"; then
-  echo "ci.sh: chaos scenario replay is not deterministic" >&2
-  exit 1
-fi
-echo "chaos smoke: corrupt-frames replayed byte-identically"
+for scenario in corrupt-frames straggler-storm-async; do
+  "$chaosdir/felnode" -chaos "$scenario" > "$chaosdir/$scenario-1.txt"
+  "$chaosdir/felnode" -chaos "$scenario" > "$chaosdir/$scenario-2.txt"
+  if ! diff -u "$chaosdir/$scenario-1.txt" "$chaosdir/$scenario-2.txt"; then
+    echo "ci.sh: chaos scenario $scenario replay is not deterministic" >&2
+    exit 1
+  fi
+  echo "chaos smoke: $scenario replayed byte-identically"
+done
 rm -rf "$chaosdir"
 trap - EXIT
+
+echo "== chaos stress (straggler-storm-async x10 under -race)"
+go test -race -count=10 -run 'TestChaosSuite/straggler-storm-async' ./internal/faultnet/scenarios
 
 echo "== felnode loopback smoke (TCP on 127.0.0.1)"
 timeout 120 go run ./cmd/felnode -role loopback -clients 12 -edges 2 -rounds 2

@@ -305,7 +305,6 @@ func (e *engine) runGroupBuffered(g *grouping.Group, globalParams []float64, rou
 	}
 	rep.ticks = now
 	e.asyncTicks.Add(now)
-	e.asyncRoundTicks.Set(float64(now))
 	return r.sp, rep
 }
 
@@ -366,7 +365,6 @@ func (e *engine) runGroupSemiSync(g *grouping.Group, globalParams []float64, rou
 	}
 	rep.ticks = int64(K) * D
 	e.asyncTicks.Add(rep.ticks)
-	e.asyncRoundTicks.Set(float64(rep.ticks))
 	return r.sp, rep
 }
 
@@ -393,6 +391,5 @@ func (e *engine) syncGroupTicks(g *grouping.Group, round int) int64 {
 		total += roundMax
 	}
 	e.asyncTicks.Add(total)
-	e.asyncRoundTicks.Set(float64(total))
 	return total
 }

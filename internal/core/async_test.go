@@ -10,6 +10,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/data"
 	"repro/internal/grouping"
+	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/sampling"
 	"repro/internal/stats"
@@ -343,4 +344,91 @@ func TestAsyncConfigValidation(t *testing.T) {
 		cfg.NewCompressor = func() compress.Compressor { return nil }
 		Train(asyncTestSystem(4, 1), cfg)
 	}()
+}
+
+// TestAsyncRoundTicksGaugeDeterministic pins fel_async_round_ticks to the
+// round's logical time — the slowest selected group, i.e. the last Step's
+// increment of Result.LogicalTicks — however the groups were scheduled. The
+// gauge is last-writer-wins, so a write from inside the per-group fan-out
+// would keep whichever group finished last: in selection order at
+// MaxParallel 1, by wall clock at MaxParallel 4. Four whole-edge groups of
+// six are all selected each round, and the test requires their tick counts
+// to differ, so a per-group write cannot pass for the maximum.
+func TestAsyncRoundTicksGaugeDeterministic(t *testing.T) {
+	gen := data.FlatConfig(4, 10, 21)
+	gen.Noise = 0.8
+	sys := NewSystem(SystemConfig{
+		Generator: gen,
+		Partition: data.PartitionConfig{
+			NumClients: 24, Alpha: 0.5,
+			MinSamples: 8, MaxSamples: 16, MeanSamples: 12, StdSamples: 3,
+			Seed: 22,
+		},
+		NumEdges: 4,
+		TestSize: 64,
+		NewModel: func(s uint64) *nn.Sequential {
+			return nn.NewMLP(10, []int{8}, 4, s)
+		},
+		ModelSeed: 7,
+	})
+	run := func(par int) (gauge float64, inc int64, snap string, res *Result) {
+		cfg := asyncTestConfig()
+		cfg.GlobalRounds = 3
+		cfg.SampleGroups = 4
+		cfg.MaxParallel = par
+		cfg.Async = async.Config{
+			Mode: async.Buffered, Alpha: 0.5, BufferFrac: 0.5,
+			Delays: async.StragglerStorm(),
+		}
+		reg := metrics.New()
+		cfg.Metrics = reg
+		tr := NewTrainer(sys, cfg)
+		for !tr.Done() {
+			before := tr.res.LogicalTicks
+			tr.Step()
+			inc = tr.res.LogicalTicks - before
+		}
+		res = tr.Finish()
+		return reg.GaugeValue("fel_async_round_ticks"), inc, metrics.MaskTimings(reg.Snapshot()), res
+	}
+
+	serialGauge, serialInc, serialSnap, res := run(1)
+	// A buffered group's clock ends at its last flush; collect the last
+	// round's per-group clocks from the arrival log.
+	last := res.RoundsRun - 1
+	groupTicks := map[int]int64{}
+	for _, ev := range res.ArrivalLog.Events() {
+		if ev.Round == last && ev.Tick > groupTicks[ev.Group] {
+			groupTicks[ev.Group] = ev.Tick
+		}
+	}
+	distinct := map[int64]bool{}
+	maxTicks := int64(0)
+	for _, ticks := range groupTicks {
+		distinct[ticks] = true
+		maxTicks = max(maxTicks, ticks)
+	}
+	if len(distinct) < 2 {
+		t.Fatalf("last round's group clocks %v: want at least two groups with different tick counts", groupTicks)
+	}
+	if serialInc != maxTicks {
+		t.Fatalf("last round's LogicalTicks increment %d, want the slowest group's %d", serialInc, maxTicks)
+	}
+
+	parGauge, parInc, parSnap, _ := run(4)
+	//lint:ignore float-eq the gauge holds an integral tick count, compared exactly
+	if serialGauge != float64(serialInc) {
+		t.Fatalf("MaxParallel 1: fel_async_round_ticks %v, want the last round's LogicalTicks increment %d", serialGauge, serialInc)
+	}
+	//lint:ignore float-eq the gauge holds an integral tick count, compared exactly
+	if parGauge != float64(parInc) {
+		t.Fatalf("MaxParallel 4: fel_async_round_ticks %v, want the last round's LogicalTicks increment %d", parGauge, parInc)
+	}
+	//lint:ignore float-eq the gauge holds an integral tick count, compared exactly
+	if serialGauge != parGauge {
+		t.Fatalf("fel_async_round_ticks %v at MaxParallel 1, %v at MaxParallel 4", serialGauge, parGauge)
+	}
+	if serialSnap != parSnap {
+		t.Fatalf("masked snapshots differ between MaxParallel 1 and 4:\n--- 1 ---\n%s\n--- 4 ---\n%s", serialSnap, parSnap)
+	}
 }

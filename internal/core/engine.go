@@ -60,7 +60,15 @@ type engine struct {
 
 	// fel_async_* handles, registered only when an async mode or a delay
 	// model is configured so synchronous runs publish an unchanged metric
-	// surface (async_engine.go guards every use behind the same condition).
+	// surface (async_engine.go guards every use behind the same condition,
+	// Trainer.Step a nil check).
+	//
+	// asyncRoundTicks (fel_async_round_ticks) is the last round's logical
+	// time: the maximum over the selected groups, i.e. that round's
+	// increment of Result.LogicalTicks. Trainer.Step sets it once, after the
+	// groups finish; the per-group runs never write it, because a
+	// last-writer-wins gauge set from the fan-out would keep whichever group
+	// finished last by wall clock.
 	asyncStale      *metrics.Histogram
 	asyncDepth      *metrics.Histogram
 	asyncFolds      *metrics.Counter

@@ -246,6 +246,11 @@ func (tr *Trainer) Step() RoundRecord {
 		}
 	}
 	res.LogicalTicks += roundTicks
+	// The gauge is last-writer-wins, so it is written here, after the
+	// fan-in, and never from inside the per-group runs above.
+	if tr.eng.asyncRoundTicks != nil {
+		tr.eng.asyncRoundTicks.Set(float64(roundTicks))
+	}
 	if tr.adaptive != nil {
 		// Observe before the global fold below: treeFold consumes the
 		// sp.group buffers in place.

@@ -36,6 +36,13 @@
 // that; keep new metrics on the deterministic side of the mask (counts,
 // not durations) unless they end in _seconds.
 //
+// Counter adds and histogram observations commute, so they may come from
+// any goroutine. Gauge.Set is last-writer-wins: a gauge must be written
+// from the serial part of a round, never from inside a concurrent fan-out,
+// or the snapshot keeps whichever writer the scheduler ran last (core's
+// fel_async_round_ticks is set once per Trainer.Step, after its per-group
+// runs have joined).
+//
 // # Exposure
 //
 // Three surfaces, all fed by the same registry: Snapshot/Table for text
